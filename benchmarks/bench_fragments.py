@@ -12,14 +12,6 @@ sizes and serial/parallel floors and installs the winners via
 :func:`repro.monet.fragments.set_default_tuning`, replacing the static
 constants of the seed with cores-plus-measurement-derived values.
 
-The calibration also decides the *executor backend* per dtype: numeric
-operators keep the thread pool (numpy releases the GIL), while the
-GIL-bound object-dtype (str) predicates -- likeselect, str selects,
-string membership -- are timed under both the thread and the process
-backend (:mod:`repro.monet.fragments` ``ProcessBackend``) and the
-winner, plus the measured BUN crossover, is installed via
-``set_default_tuning(backend=..., process_min=...)``.
-
 Every section records machine-readable rows (op, size, backend, dtype,
 median wall ms); ``--json PATH`` writes them as a JSON document that
 CI uploads as an artifact on every run and feeds to
@@ -30,7 +22,7 @@ Fast smoke mode:    BENCH_FAST=1 python benchmarks/bench_fragments.py
 MIL pipeline only:  BENCH_FAST=1 python benchmarks/bench_fragments.py --mil
 Sort/unique only:   BENCH_FAST=1 python benchmarks/bench_fragments.py --sort
 Set operators only: BENCH_FAST=1 python benchmarks/bench_fragments.py --setops
-String (backend) only: BENCH_FAST=1 python benchmarks/bench_fragments.py --strings
+String operators only: BENCH_FAST=1 python benchmarks/bench_fragments.py --strings
 Grace join only:    BENCH_FAST=1 python benchmarks/bench_fragments.py --join
 Append path only:   BENCH_FAST=1 python benchmarks/bench_fragments.py --append
 Calibration only:   python benchmarks/bench_fragments.py --calibrate
@@ -229,13 +221,13 @@ def _sort_pools(n, *, seed=7):
     )
 
 
-def _timed_pair(name, n, dtype, mono_case, frag_case, repeats, frag_backend="thread"):
+def _timed_pair(name, n, dtype, mono_case, frag_case, repeats):
     """Time a monolithic/fragmented case pair, record both as JSON rows
     and print the historical best-of comparison line."""
     mono_stats = _measure(mono_case, repeats)
     frag_stats = _measure(frag_case, repeats)
     _record(name, n, "monolithic", dtype, mono_stats)
-    _record(name, n, frag_backend, dtype, frag_stats)
+    _record(name, n, "thread", dtype, frag_stats)
     mono_ms, frag_ms = mono_stats["best_ms"], frag_stats["best_ms"]
     ratio = frag_ms / mono_ms if mono_ms else float("inf")
     print(f"{n:>12,}  {name:<18}{mono_ms:>10.2f}{frag_ms:>10.2f}{ratio:>8.2f}")
@@ -370,14 +362,12 @@ def _report_setops(sizes, verbose_header=True):
 
 
 # ----------------------------------------------------------------------
-# String (object-dtype) operators: the executor-backend benchmark
+# String (object-dtype) operators
 #
-# These are the operators fragmentation could not speed up before the
-# process backend existed: likeselect, str equality select and the
-# string membership probes run a Python-level scan that holds the GIL,
-# so the thread fan-out serializes.  The section times each one
-# monolithic vs fragmented-on-threads vs fragmented-on-processes and
-# is the measured basis for the per-dtype backend calibration.
+# likeselect, str equality select and the string membership probes run
+# a Python-level scan that holds the GIL, so the thread fan-out mostly
+# serializes.  The section times each one monolithic vs fragmented, so
+# the cost of fragmenting a GIL-bound predicate stays on record.
 # ----------------------------------------------------------------------
 
 
@@ -416,88 +406,38 @@ def _str_headed(n, *, seed=19):
 
 
 def _report_strings(sizes, verbose_header=True):
-    """likeselect / str select / string membership under the thread and
-    process backends.  ``t/p > 1`` means the process backend won; on a
-    single-core host expect <= 1 (the offload overhead cannot be bought
-    back without real parallel hardware), which is exactly what the
-    per-dtype calibration measures and persists."""
-    process_ok = fr.get_backend("process").available()
+    """likeselect / str select / string membership, monolithic vs
+    fragmented on the thread pool."""
     if verbose_header:
-        print(
-            "E14: object-dtype operators, thread vs process backend "
-            f"(workers={WORKERS}, process backend "
-            f"{'available' if process_ok else 'UNAVAILABLE -- thread fallback'})"
-        )
-        print(
-            f"{'n':>12}  {'operator':<18}{'mono ms':>10}{'thread ms':>11}"
-            f"{'process ms':>12}{'t/p':>7}"
-        )
-    saved_min = fr.PROCESS_MIN_BUNS
-    fr.PROCESS_MIN_BUNS = 0
-    try:
-        for n in sizes:
-            repeats = 3
-            target = _policy(n).target_size
-            thread_policy = FragmentationPolicy(
-                target_size=target, backend="thread"
-            )
-            process_policy = FragmentationPolicy(
-                target_size=target, backend="process"
-            )
-            bat = _str_bat(n)
-            fb_thread = fragment_bat(bat, thread_policy)
-            fb_process = fragment_bat(bat, process_policy)
-            left = _str_headed(n)
-            fl_thread = fragment_bat(left, thread_policy)
-            fl_process = fragment_bat(left, process_policy)
-            right = _str_headed(max(1000, n // 4), seed=23)
-            cases = [
-                (
-                    "likeselect",
-                    lambda: kernel.likeselect(bat, "ing"),
-                    lambda: fr.likeselect(fb_thread, "ing", workers=WORKERS),
-                    lambda: fr.likeselect(fb_process, "ing", workers=WORKERS),
-                ),
-                (
-                    "select(str=)",
-                    lambda: kernel.select(bat, "rivers"),
-                    lambda: fr.select(fb_thread, "rivers", workers=WORKERS),
-                    lambda: fr.select(fb_process, "rivers", workers=WORKERS),
-                ),
-                (
-                    "kintersect(str)",
-                    lambda: kernel.kintersect(left, right),
-                    lambda: fr.kintersect(fl_thread, right, workers=WORKERS),
-                    lambda: fr.kintersect(fl_process, right, workers=WORKERS),
-                ),
-            ]
-            for name, mono_case, thread_case, process_case in cases:
-                expected = mono_case().to_pairs()
-                assert thread_case().to_bat().to_pairs() == expected
-                if process_ok:
-                    assert process_case().to_bat().to_pairs() == expected
-                mono_stats = _measure(mono_case, repeats)
-                _record(name, n, "monolithic", "str", mono_stats)
-                thread_stats = _measure(thread_case, repeats)
-                _record(name, n, "thread", "str", thread_stats)
-                if process_ok:
-                    process_stats = _measure(process_case, repeats)
-                    _record(name, n, "process", "str", process_stats)
-                    process_ms = process_stats["best_ms"]
-                    speedup = (
-                        thread_stats["best_ms"] / process_ms
-                        if process_ms
-                        else float("inf")
-                    )
-                    tail = f"{process_ms:>12.2f}{speedup:>7.2f}"
-                else:
-                    tail = f"{'n/a':>12}{'':>7}"
-                print(
-                    f"{n:>12,}  {name:<18}{mono_stats['best_ms']:>10.2f}"
-                    f"{thread_stats['best_ms']:>11.2f}{tail}"
-                )
-    finally:
-        fr.PROCESS_MIN_BUNS = saved_min
+        print(f"E14: object-dtype operators (workers={WORKERS})")
+        print(f"{'n':>12}  {'operator':<18}{'mono ms':>10}{'frag ms':>10}{'ratio':>8}")
+    for n in sizes:
+        policy = _policy(n)
+        bat = _str_bat(n)
+        fb = fragment_bat(bat, policy)
+        left = _str_headed(n)
+        fl = fragment_bat(left, policy)
+        right = _str_headed(max(1000, n // 4), seed=23)
+        cases = [
+            (
+                "likeselect",
+                lambda: kernel.likeselect(bat, "ing"),
+                lambda: fr.likeselect(fb, "ing", workers=WORKERS),
+            ),
+            (
+                "select(str=)",
+                lambda: kernel.select(bat, "rivers"),
+                lambda: fr.select(fb, "rivers", workers=WORKERS),
+            ),
+            (
+                "kintersect(str)",
+                lambda: kernel.kintersect(left, right),
+                lambda: fr.kintersect(fl, right, workers=WORKERS),
+            ),
+        ]
+        for name, mono_case, frag_case in cases:
+            assert frag_case().to_bat().to_pairs() == mono_case().to_pairs()
+            _timed_pair(name, n, "str", mono_case, frag_case, 3)
 
 
 # ----------------------------------------------------------------------
@@ -507,8 +447,8 @@ def _report_strings(sizes, verbose_header=True):
 
 def _join_str_sides(n, *, seed=29):
     """[void,str] probe side against a keyed [str,dbl] build side: the
-    object keyspace routes the radix split through the executor
-    backend, which is what the process-backend offload exists for."""
+    object keyspace takes the GIL-bound hashing path of the radix
+    split."""
     rng = np.random.default_rng(seed)
     left = BAT(VoidColumn(0, n), Column("str", _str_corpus(n, seed=seed)))
     vocabulary = [
@@ -525,101 +465,49 @@ def _join_str_sides(n, *, seed=29):
 
 
 def _report_join(sizes, verbose_header=True):
-    """Grace join with a *fragmented* right operand: monolithic vs the
-    thread and process backends, plus a spill-forced run (every
-    partition staged through BBP spill units) to price the
-    larger-than-memory path."""
-    process_ok = fr.get_backend("process").available()
+    """Grace join with a *fragmented* right operand: monolithic vs
+    fragmented, plus a spill-forced run (every partition staged through
+    BBP spill units) to price the larger-than-memory path."""
     if verbose_header:
         print(
             "E15: grace join, fragmented build side "
-            f"(workers={WORKERS}, fanout={fr.JOIN_FANOUT}, process backend "
-            f"{'available' if process_ok else 'UNAVAILABLE -- thread fallback'})"
+            f"(workers={WORKERS}, fanout={fr.JOIN_FANOUT})"
         )
-        print(
-            f"{'n':>12}  {'operator':<18}{'mono ms':>10}{'thread ms':>11}"
-            f"{'process ms':>12}{'t/p':>7}"
-        )
-    saved_min = fr.PROCESS_MIN_BUNS
-    fr.PROCESS_MIN_BUNS = 0
-    try:
-        for n in sizes:
-            repeats = 2 if n >= 10**6 else 3
-            target = _policy(n).target_size
-            thread_policy = FragmentationPolicy(
-                target_size=target, backend="thread"
+        print(f"{'n':>12}  {'operator':<18}{'mono ms':>10}{'frag ms':>10}{'ratio':>8}")
+    for n in sizes:
+        repeats = 2 if n >= 10**6 else 3
+        policy = _policy(n)
+        left, right = _join_sides(n)
+        sleft, sright = _join_str_sides(n)
+        for name, dtype, probe, build in [
+            ("join(oid)", "oid", left, right),
+            ("join(str)", "str", sleft, sright),
+        ]:
+            fl = fragment_bat(probe, policy)
+            fb = fragment_bat(build, policy)
+            assert fr.join(fl, fb).to_bat().to_pairs() == kernel.join(probe, build).to_pairs()
+            _timed_pair(
+                name,
+                n,
+                dtype,
+                lambda: kernel.join(probe, build),
+                lambda: fr.join(fl, fb, workers=WORKERS),
+                repeats,
             )
-            process_policy = FragmentationPolicy(
-                target_size=target, backend="process"
-            )
-            left, right = _join_sides(n)
-            sleft, sright = _join_str_sides(n)
-            cases = [
-                ("join(oid)", "oid", left, right),
-                ("join(str)", "str", sleft, sright),
-            ]
-            oid_mono_stats = None
-            for name, dtype, probe, build in cases:
-                fl_thread = fragment_bat(probe, thread_policy)
-                fb_thread = fragment_bat(build, thread_policy)
-                fl_process = fragment_bat(probe, process_policy)
-                fb_process = fragment_bat(build, process_policy)
-                expected = kernel.join(probe, build).to_pairs()
-                assert fr.join(fl_thread, fb_thread).to_bat().to_pairs() == expected
-                mono_stats = _measure(lambda: kernel.join(probe, build), repeats)
-                _record(name, n, "monolithic", dtype, mono_stats)
-                thread_stats = _measure(
-                    lambda: fr.join(fl_thread, fb_thread, workers=WORKERS), repeats
-                )
-                _record(name, n, "thread", dtype, thread_stats)
-                if name == "join(oid)":
-                    oid_mono_stats = mono_stats
-                if process_ok:
-                    assert (
-                        fr.join(fl_process, fb_process).to_bat().to_pairs()
-                        == expected
-                    )
-                    process_stats = _measure(
-                        lambda: fr.join(fl_process, fb_process, workers=WORKERS),
-                        repeats,
-                    )
-                    _record(name, n, "process", dtype, process_stats)
-                    process_ms = process_stats["best_ms"]
-                    speedup = (
-                        thread_stats["best_ms"] / process_ms
-                        if process_ms
-                        else float("inf")
-                    )
-                    tail = f"{process_ms:>12.2f}{speedup:>7.2f}"
-                else:
-                    tail = f"{'n/a':>12}{'':>7}"
-                print(
-                    f"{n:>12,}  {name:<18}{mono_stats['best_ms']:>10.2f}"
-                    f"{thread_stats['best_ms']:>11.2f}{tail}"
-                )
-            # Spill-forced: every build partition round-trips through a
-            # BBP spill unit, bounding resident build memory to one
-            # partition.  Output must stay BUN-identical.
-            saved_spill = fr.JOIN_SPILL_BUNS
-            fr.JOIN_SPILL_BUNS = 0
-            try:
-                fl_thread = fragment_bat(left, thread_policy)
-                fb_thread = fragment_bat(right, thread_policy)
-                expected = kernel.join(left, right).to_pairs()
-                assert fr.join(fl_thread, fb_thread).to_bat().to_pairs() == expected
-                spill_stats = _measure(
-                    lambda: fr.join(fl_thread, fb_thread, workers=WORKERS), repeats
-                )
-            finally:
-                fr.JOIN_SPILL_BUNS = saved_spill
-            _record("join-spill", n, "thread", "oid", spill_stats)
-            print(
-                f"{n:>12,}  {'join-spill(oid)':<18}"
-                f"{oid_mono_stats['best_ms']:>10.2f}"
-                f"{spill_stats['best_ms']:>11.2f}{'n/a':>12}{'':>7}"
-            )
-    finally:
-        fr.PROCESS_MIN_BUNS = saved_min
+        # Spill-forced: every build partition round-trips through a
+        # BBP spill unit, bounding resident build memory to one
+        # partition.  Output must stay BUN-identical.
+        saved_spill = fr.JOIN_SPILL_BUNS
+        fr.JOIN_SPILL_BUNS = 0
+        try:
+            fl = fragment_bat(left, policy)
+            fb = fragment_bat(right, policy)
+            assert fr.join(fl, fb).to_bat().to_pairs() == kernel.join(left, right).to_pairs()
+            spill_stats = _measure(lambda: fr.join(fl, fb, workers=WORKERS), repeats)
+        finally:
+            fr.JOIN_SPILL_BUNS = saved_spill
+        _record("join-spill", n, "thread", "oid", spill_stats)
+        print(f"{n:>12,}  {'join-spill(oid)':<18}{'':>10}{spill_stats['best_ms']:>10.2f}")
 
 
 # ----------------------------------------------------------------------
@@ -836,13 +724,10 @@ def _report_group_commit(n):
 def calibrate(verbose=True):
     """Measure operator cost across fragment sizes and the
     serial/parallel crossover, then install the winners as the module
-    defaults (:func:`repro.monet.fragments.set_default_tuning`),
-    including the per-dtype executor backend (threads for numeric,
-    processes for object-dtype predicates above a measured BUN
-    threshold -- see :func:`_calibrate_backend`).
+    defaults (:func:`repro.monet.fragments.set_default_tuning`).
 
-    Returns ``(fragment_size, parallel_min, merge_fanout, backend,
-    process_min, join_fanout, join_spill)``.
+    Returns ``(fragment_size, parallel_min, merge_fanout, join_fanout,
+    join_spill)``.
     """
     n = 200_000 if FAST else 2_000_000
     candidates = [16 * 1024, 32 * 1024, 64 * 1024, 128 * 1024]
@@ -918,13 +803,10 @@ def calibrate(verbose=True):
         if ms < best_join_ms:
             best_join_fanout, best_join_ms = fanout, ms
     fr.set_default_tuning(join_fanout=best_join_fanout)
-    backend, process_min = _calibrate_backend(repeats, best_size, verbose=verbose)
-    fr.set_default_tuning(backend=backend, process_min=process_min)
     if verbose:
         print(
             f"calibrated: fragment_size={best_size:,} "
             f"parallel_min={parallel_min:,} merge_fanout={best_fanout} "
-            f"backend={backend} process_min={process_min:,} "
             f"join_fanout={best_join_fanout} "
             f"join_spill={fr.JOIN_SPILL_BUNS:,} "
             "(installed as defaults)"
@@ -933,70 +815,9 @@ def calibrate(verbose=True):
         best_size,
         parallel_min,
         best_fanout,
-        backend,
-        process_min,
         best_join_fanout,
         fr.JOIN_SPILL_BUNS,
     )
-
-
-def _calibrate_backend(repeats, fragment_size, *, verbose=True):
-    """Per-dtype executor backend: time the canonical GIL-bound str
-    predicate (likeselect) fragmented on threads vs on processes.
-
-    Numeric operators never leave the thread pool (numpy's kernels
-    release the GIL there, and the shared-memory export would be pure
-    overhead), so the decision is made on object-dtype work only: if
-    processes win at the headline size, the backend switches to
-    ``process`` and the smallest measured size where they already win
-    becomes the offload threshold ``process_min``; otherwise the
-    backend stays ``thread``."""
-    if not fr.get_backend("process").available():
-        if verbose:
-            print("calibration: process backend unavailable; keeping threads")
-        return "thread", fr.PROCESS_MIN_BUNS
-    n = 100_000 if FAST else 1_000_000
-    saved_min = fr.PROCESS_MIN_BUNS
-    fr.PROCESS_MIN_BUNS = 0
-    try:
-        if verbose:
-            print(f"calibration: str likeselect over {n:,} BUNs")
-            print(f"{'n':>16}{'thread ms':>12}{'process ms':>12}")
-
-        def time_both(size):
-            bat = _str_bat(size)
-            thread_fb = fragment_bat(
-                bat, FragmentationPolicy(target_size=fragment_size, backend="thread")
-            )
-            process_fb = fragment_bat(
-                bat, FragmentationPolicy(target_size=fragment_size, backend="process")
-            )
-            thread_ms = _timed(
-                lambda: fr.likeselect(thread_fb, "ing", workers=WORKERS), repeats
-            )
-            process_ms = _timed(
-                lambda: fr.likeselect(process_fb, "ing", workers=WORKERS), repeats
-            )
-            if verbose:
-                print(f"{size:>16,}{thread_ms:>12.2f}{process_ms:>12.2f}")
-            return thread_ms, process_ms
-
-        thread_ms, process_ms = time_both(n)
-        if process_ms >= thread_ms:
-            return "thread", saved_min
-        # Processes win at the headline size: the threshold is the
-        # smallest probed size where they already break even.
-        process_min = n
-        for size in (16 * 1024, 64 * 1024, 256 * 1024):
-            if size >= n:
-                break
-            small_thread_ms, small_process_ms = time_both(size)
-            if small_process_ms <= small_thread_ms:
-                process_min = size
-                break
-        return "process", process_min
-    finally:
-        fr.PROCESS_MIN_BUNS = saved_min
 
 
 # ----------------------------------------------------------------------

@@ -225,12 +225,7 @@ class MirrorDBMS:
     are stored as fragments (see :mod:`repro.monet.fragments`), and
     compiled query plans execute them fragment-parallel end-to-end (the
     MIL interpreter dispatches to the fragment kernel; the optional
-    ``fragment_policy`` governs intermediate re-fragmentation and may
-    pin the executor backend -- ``FragmentationPolicy
-    (backend="process")`` routes GIL-bound object-dtype (str)
-    predicates to the process pool; the default follows
-    ``REPRO_EXECUTOR_BACKEND`` and the calibrated tuning persisted in
-    the BBP catalog).
+    ``fragment_policy`` governs intermediate re-fragmentation).
 
     One MirrorDBMS is safe to share across threads (the query service
     runs every session against a single instance): the read path --

@@ -718,15 +718,7 @@ class BATBufferPool:
             # Calibrated fragment tuning persists next to the catalog so
             # a restarted server skips the measurement pass (see
             # benchmarks/bench_fragments.py calibrate()).
-            catalog["tuning"] = {
-                "fragment_size": tuning["fragment_size"],
-                "parallel_min": tuning["parallel_min"],
-                "merge_fanout": tuning["merge_fanout"],
-                "backend": tuning["backend"],
-                "process_min": tuning["process_min"],
-                "join_fanout": tuning["join_fanout"],
-                "join_spill": tuning["join_spill"],
-            }
+            catalog["tuning"] = {field: tuning[field] for field in _TUNING_ENV}
         # Session-private temps (the @<sid>: namespace) are tentative by
         # definition -- they must not be resurrected on reload.
         entries = sorted(n for n in self._all_names() if not n.startswith("@"))
@@ -1285,62 +1277,30 @@ def _replay_wal(pool: "BATBufferPool", directory: Path) -> int:
     return applied
 
 
+#: The persisted tuning fields, each with the environment variable
+#: that overrides it.
+_TUNING_ENV = {
+    "fragment_size": "REPRO_FRAGMENT_SIZE",
+    "parallel_min": "REPRO_PARALLEL_MIN_BUNS",
+    "merge_fanout": "REPRO_MERGE_FANOUT",
+    "join_fanout": "REPRO_JOIN_FANOUT",
+    "join_spill": "REPRO_JOIN_SPILL_BUNS",
+}
+
+
 def _install_persisted_tuning(tuning: dict) -> None:
     """Reinstall calibrated fragment tuning found next to a catalog, so
-    a restarted server skips the measurement pass.  Explicit
-    environment overrides (``REPRO_FRAGMENT_SIZE`` /
-    ``REPRO_PARALLEL_MIN_BUNS`` / ``REPRO_MERGE_FANOUT`` /
-    ``REPRO_EXECUTOR_BACKEND`` / ``REPRO_PROCESS_MIN_BUNS`` /
-    ``REPRO_JOIN_FANOUT`` / ``REPRO_JOIN_SPILL_BUNS``) win over
-    persisted values, knob by knob."""
-    import os
-
-    fragment_size = (
-        None if os.environ.get("REPRO_FRAGMENT_SIZE") else tuning.get("fragment_size")
-    )
-    parallel_min = (
-        None
-        if os.environ.get("REPRO_PARALLEL_MIN_BUNS")
-        else tuning.get("parallel_min")
-    )
-    merge_fanout = (
-        None if os.environ.get("REPRO_MERGE_FANOUT") else tuning.get("merge_fanout")
-    )
-    backend = (
-        None if os.environ.get("REPRO_EXECUTOR_BACKEND") else tuning.get("backend")
-    )
-    process_min = (
-        None
-        if os.environ.get("REPRO_PROCESS_MIN_BUNS")
-        else tuning.get("process_min")
-    )
-    join_fanout = (
-        None if os.environ.get("REPRO_JOIN_FANOUT") else tuning.get("join_fanout")
-    )
-    join_spill = (
-        None
-        if os.environ.get("REPRO_JOIN_SPILL_BUNS")
-        else tuning.get("join_spill")
-    )
-    values = (
-        fragment_size,
-        parallel_min,
-        merge_fanout,
-        backend,
-        process_min,
-        join_fanout,
-        join_spill,
-    )
-    if any(value is not None for value in values):
-        _fragments.set_default_tuning(
-            fragment_size=fragment_size,
-            parallel_min=parallel_min,
-            merge_fanout=merge_fanout,
-            backend=backend,
-            process_min=process_min,
-            join_fanout=join_fanout,
-            join_spill=join_spill,
-        )
+    a restarted server skips the measurement pass.  An explicit
+    environment override (:data:`_TUNING_ENV`) wins over the persisted
+    value, knob by knob; fields this version no longer knows (such as
+    the ``backend``/``process_min`` of older catalogs) are ignored."""
+    values = {
+        field: tuning.get(field)
+        for field, env in _TUNING_ENV.items()
+        if not os.environ.get(env)
+    }
+    if any(value is not None for value in values.values()):
+        _fragments.set_default_tuning(**values)
 
 
 # ----------------------------------------------------------------------

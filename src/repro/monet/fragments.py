@@ -8,34 +8,8 @@ kernel operators fan out over fragments on a shared
 :class:`~concurrent.futures.ThreadPoolExecutor` (numpy releases the GIL
 on its bulk paths) and the results are recombined in BUN order.
 
-**Executor backends.**  The fan-out itself is pluggable through the
-:class:`Backend` protocol.  :class:`ThreadBackend` (the default) is
-the thread pool described above.  :class:`ProcessBackend` adds a lazy
-``ProcessPoolExecutor`` (spawn context; fork-safe by construction) for
-the operators threads cannot speed up: object-dtype (str) predicates
--- ``likeselect``, str equality/range selects, and the head-membership
-probes and builds of ``semijoin``/``kdiff``/``kintersect``/``kunion``
--- hold the GIL for their whole Python-level scan, so under the thread
-backend they serialize no matter how many fragments fan out.  Under
-the process backend those *registered, picklable* per-fragment tasks
-(:data:`repro.monet.kernel.FRAGMENT_TASKS`) run in worker processes:
-the predicate column travels through :mod:`repro.monet.shm` (numeric
-fragments map zero-copy out of ``multiprocessing.shared_memory``
-segments; str fragments ship as length-prefixed encoded heaps and are
-reconstructed in the worker), shared build sides broadcast once as
-cached blobs, and only qualifying positions come back.  Everything
-without a registered task -- all the GIL-releasing numeric work --
-keeps fanning out on threads even under the process backend: that is
-the **per-dtype calibration rule** (threads for numeric, processes for
-object-dtype predicates above :data:`PROCESS_MIN_BUNS` BUNs), measured
-by ``bench_fragments.calibrate()``.  Selection threads through
-``REPRO_EXECUTOR_BACKEND`` / :func:`set_default_tuning` (persisted
-with the other tuning fields in the BBP catalog) or per-plan via
-``FragmentationPolicy(backend=...)``; both backends are BUN-identical
-by contract, which the differential and fuzz suites assert over the
-backend axis.  The process pool spawns on first use, survives only in
-the process that created it (fork resets it), and shuts down cleanly
-at exit without leaking shared-memory segments or semaphores.
+The pool (:func:`map_fragments`) is created lazily and belongs to the
+process that created it: a forked child builds its own.
 
 Two split strategies are supported through
 :class:`FragmentationPolicy`:
@@ -82,13 +56,10 @@ a flag is only ``True`` when the concatenation provably preserves it
 
 from __future__ import annotations
 
-import atexit
 import heapq
-import multiprocessing
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as _FutureTimeout
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
@@ -96,7 +67,6 @@ import numpy as np
 
 from repro.monet import aggregates as _agg
 from repro.monet import kernel as _kernel
-from repro.monet import shm as _shm
 from repro.monet.atoms import atom
 from repro.monet.bat import (
     BAT,
@@ -109,10 +79,6 @@ from repro.monet.bat import (
 )
 from repro.monet.errors import InvalidMutationBatch, KernelError
 
-try:
-    from concurrent.futures.process import BrokenProcessPool
-except ImportError:  # pragma: no cover - ancient stdlib layout
-    BrokenProcessPool = OSError
 
 def _derive_fragment_size(cores: Optional[int] = None) -> int:
     """Default BUN count per fragment, derived from the live core count.
@@ -216,33 +182,6 @@ JOIN_PARTITION_MIN_BUNS = 64 * 1024
 _JOIN_SPILL_ENV = os.environ.get("REPRO_JOIN_SPILL_BUNS")
 JOIN_SPILL_BUNS = int(_JOIN_SPILL_ENV) if _JOIN_SPILL_ENV else 4 * 1024 * 1024
 
-#: The executor backends an operator fan-out can run on.
-BACKEND_NAMES = ("thread", "process")
-
-#: Default executor backend.  ``thread`` is the historical behavior
-#: and right for numpy's GIL-releasing numeric kernels; ``process``
-#: additionally offloads the registered object-dtype (str) predicate
-#: tasks to worker processes (see the module docstring).
-#: ``REPRO_EXECUTOR_BACKEND`` overrides, and
-#: :func:`set_default_tuning` installs calibrated values.
-DEFAULT_BACKEND = os.environ.get("REPRO_EXECUTOR_BACKEND") or "thread"
-
-#: Below this many total BUNs an object-dtype predicate stays on the
-#: thread backend even when the process backend is selected: the
-#: shared-memory export plus task dispatch has a fixed per-call cost
-#: that only the larger Python-level scans amortize.
-#: ``REPRO_PROCESS_MIN_BUNS`` overrides -- ``0`` disables the floor
-#: (every eligible predicate offloads, which is what the differential
-#: tests pin); an unset/empty variable keeps the static default until
-#: ``bench_fragments.calibrate()`` measures the real crossover.
-_PROCESS_MIN_ENV = os.environ.get("REPRO_PROCESS_MIN_BUNS")
-PROCESS_MIN_BUNS = int(_PROCESS_MIN_ENV) if _PROCESS_MIN_ENV else 64 * 1024
-
-#: Per-task result timeout (seconds) of the process backend; a worker
-#: stuck past it degrades the backend to threads instead of hanging
-#: the plan (and CI) forever.
-PROCESS_TASK_TIMEOUT = float(os.environ.get("REPRO_PROCESS_TASK_TIMEOUT", 0) or 120.0)
-
 #: True once :func:`set_default_tuning` installed measured values (as
 #: opposed to the cores-derived defaults above).  Measured tuning is
 #: worth persisting: :meth:`repro.monet.bbp.BATBufferPool.save` writes
@@ -256,8 +195,6 @@ def set_default_tuning(
     fragment_size: Optional[int] = None,
     parallel_min: Optional[int] = None,
     merge_fanout: Optional[int] = None,
-    backend: Optional[str] = None,
-    process_min: Optional[int] = None,
     join_fanout: Optional[int] = None,
     join_spill: Optional[int] = None,
 ) -> None:
@@ -267,11 +204,10 @@ def set_default_tuning(
     after timing real operators; policies built afterwards (including
     the per-call defaults of every operator here) pick the new values
     up.  Explicitly constructed policies are unaffected.
-    ``merge_fanout``, ``backend``, ``process_min``, ``join_fanout``
-    and ``join_spill`` are read live (not captured by policies), so
-    they take effect on in-flight handles too."""
+    ``merge_fanout``, ``join_fanout`` and ``join_spill`` are read live
+    (not captured by policies), so they take effect on in-flight handles
+    too."""
     global DEFAULT_FRAGMENT_SIZE, PARALLEL_MIN_BUNS, MERGE_FANOUT
-    global DEFAULT_BACKEND, PROCESS_MIN_BUNS
     global JOIN_FANOUT, JOIN_SPILL_BUNS
     global _TUNING_MEASURED
     if fragment_size is not None:
@@ -288,19 +224,6 @@ def set_default_tuning(
         if merge_fanout < 1:
             raise KernelError("merge_fanout must be at least 1")
         MERGE_FANOUT = int(merge_fanout)
-        _TUNING_MEASURED = True
-    if backend is not None:
-        if backend not in BACKEND_NAMES:
-            raise KernelError(
-                f"unknown executor backend {backend!r}; expected one of "
-                f"{', '.join(BACKEND_NAMES)}"
-            )
-        DEFAULT_BACKEND = backend
-        _TUNING_MEASURED = True
-    if process_min is not None:
-        if process_min < 0:
-            raise KernelError("process_min must be non-negative")
-        PROCESS_MIN_BUNS = int(process_min)
         _TUNING_MEASURED = True
     if join_fanout is not None:
         if join_fanout < 1:
@@ -321,8 +244,6 @@ def default_tuning() -> dict:
         "fragment_size": DEFAULT_FRAGMENT_SIZE,
         "parallel_min": PARALLEL_MIN_BUNS,
         "merge_fanout": MERGE_FANOUT,
-        "backend": DEFAULT_BACKEND,
-        "process_min": PROCESS_MIN_BUNS,
         "join_fanout": JOIN_FANOUT,
         "join_spill": JOIN_SPILL_BUNS,
         "measured": _TUNING_MEASURED,
@@ -331,21 +252,15 @@ def default_tuning() -> dict:
 
 @dataclass(frozen=True)
 class FragmentationPolicy:
-    """How a BAT is split: fragment size, strategy, worker count and
-    executor backend.
+    """How a BAT is split: fragment size, strategy and worker count.
 
     ``target_size=None`` (the default) resolves to the current module
     default at construction time, so policies made after a
-    :func:`set_default_tuning` calibration see the measured value.
-    ``backend=None`` stays unresolved and reads the live module default
-    at every operator call (like ``MERGE_FANOUT``), so calibrating or
-    setting ``REPRO_EXECUTOR_BACKEND`` affects in-flight handles too;
-    an explicit ``backend`` pins the plan to one executor."""
+    :func:`set_default_tuning` calibration see the measured value."""
 
     target_size: Optional[int] = None
     strategy: str = "range"
     workers: Optional[int] = None
-    backend: Optional[str] = None
 
     def __post_init__(self):
         if self.target_size is None:
@@ -356,11 +271,6 @@ class FragmentationPolicy:
             raise KernelError(
                 f"unknown fragmentation strategy {self.strategy!r}; "
                 "expected 'range' or 'roundrobin'"
-            )
-        if self.backend is not None and self.backend not in BACKEND_NAMES:
-            raise KernelError(
-                f"unknown executor backend {self.backend!r}; expected one of "
-                f"{', '.join(BACKEND_NAMES)}"
             )
 
 
@@ -373,18 +283,9 @@ def _default_policy() -> FragmentationPolicy:
     :func:`set_default_tuning`."""
     return FragmentationPolicy()
 
+
 # ----------------------------------------------------------------------
-# Executor backends
-#
-# The Backend protocol has two capabilities: `map` is the generic
-# closure fan-out every operator uses (always thread-based -- closures
-# do not cross process boundaries), and `run_column_tasks` offloads a
-# *registered* picklable per-fragment task
-# (repro.monet.kernel.FRAGMENT_TASKS) over shared-memory column
-# exports, returning None to decline (the caller then takes the thread
-# path).  ThreadBackend declines every offload; ProcessBackend accepts
-# them when shared memory is usable, owning a lazily spawned process
-# pool.
+# The shared thread pool
 # ----------------------------------------------------------------------
 
 _EXECUTOR: Optional[ThreadPoolExecutor] = None
@@ -420,201 +321,19 @@ def map_fragments(
         return list(pool.map(fn, items))
 
 
-class ThreadBackend:
-    """The default executor backend: the shared thread pool.  Offload
-    requests are declined -- the thread path computes everything via
-    :func:`map_fragments` closures."""
-
-    name = "thread"
-
-    def map(
-        self, fn: Callable[[Any], Any], items: Sequence[Any],
-        workers: Optional[int] = None,
-    ) -> List[Any]:
-        return map_fragments(fn, items, workers)
-
-    def run_column_tasks(
-        self, task: str, columns: Sequence[AnyColumn], args: tuple = (),
-        broadcast: Any = None,
-    ) -> Optional[List[Any]]:
-        return None
-
-    def shutdown(self) -> None:
-        global _EXECUTOR
-        with _EXECUTOR_LOCK:
-            executor, _EXECUTOR = _EXECUTOR, None
-        if executor is not None:
-            executor.shutdown(wait=True)
-
-
-class ProcessBackend:
-    """Process-pool executor backend over shared-memory column exports.
-
-    The pool (``spawn`` context: no forked locks, no inherited thread
-    state) starts lazily on the first accepted offload and is reused
-    for the life of the process.  ``run_column_tasks`` exports every
-    predicate column through :mod:`repro.monet.shm`, ships only
-    ``(task name, handle, args)`` per fragment, and collects the
-    per-fragment results; broadcast objects (shared build sides) are
-    exported once and cached per worker.  Any *infrastructure* failure
-    -- shared memory unusable, pool unspawnable, a worker crash or a
-    task timing out (:data:`PROCESS_TASK_TIMEOUT`) -- degrades the
-    backend: the call returns ``None`` and the caller recomputes on
-    threads, so a broken environment costs performance, never
-    correctness.  Exceptions raised by the task itself (e.g. a type
-    error from the operator) propagate unchanged, exactly like the
-    thread path.  The generic closure ``map`` stays thread-based: only
-    registered picklable tasks cross the process boundary."""
-
-    name = "process"
-
-    def __init__(self):
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._lock = threading.Lock()
-        self._disabled = False
-
-    def available(self) -> bool:
-        """True when offloads can currently be accepted (shared memory
-        importable and no prior infrastructure failure)."""
-        return not self._disabled and _shm.available()
-
-    def spawned(self) -> bool:
-        """True once the worker pool has actually been started."""
-        return self._pool is not None
-
-    def map(
-        self, fn: Callable[[Any], Any], items: Sequence[Any],
-        workers: Optional[int] = None,
-    ) -> List[Any]:
-        return map_fragments(fn, items, workers)
-
-    def _ensure_pool(self) -> Optional[ProcessPoolExecutor]:
-        if self._pool is None:
-            with self._lock:
-                if self._pool is None and not self._disabled:
-                    try:
-                        self._pool = ProcessPoolExecutor(
-                            max_workers=DEFAULT_WORKERS,
-                            mp_context=multiprocessing.get_context("spawn"),
-                        )
-                    except (OSError, ValueError):  # pragma: no cover
-                        self._disabled = True
-        return self._pool
-
-    def _degrade(self) -> None:
-        """Permanently fall back to threads after an infrastructure
-        failure (wedged or crashed worker); never blocks on the pool."""
-        self._disabled = True
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def run_column_tasks(
-        self, task: str, columns: Sequence[AnyColumn], args: tuple = (),
-        broadcast: Any = None,
-    ) -> Optional[List[Any]]:
-        if not self.available():
-            return None
-        pool = self._ensure_pool()
-        if pool is None:
-            return None
-        columns = list(columns)
-        if not columns:
-            return []
-        segments: List[Any] = []
-        try:
-            try:
-                handles = []
-                for column in columns:
-                    handle, owned = _shm.export_column(column)
-                    segments.extend(owned)
-                    handles.append(handle)
-                blob_handle = None
-                if broadcast is not None:
-                    blob_handle, owned = _shm.export_blob(broadcast)
-                    segments.extend(owned)
-            except OSError:
-                # No usable shared memory (full or unwritable /dev/shm,
-                # seccomp, ...): decline, callers recompute on threads.
-                self._disabled = True
-                return None
-            futures = [
-                pool.submit(_shm.run_column_task, task, handle, tuple(args), blob_handle)
-                for handle in handles
-            ]
-            results: List[Any] = []
-            try:
-                for future in futures:
-                    results.append(future.result(timeout=PROCESS_TASK_TIMEOUT))
-            except (_FutureTimeout, BrokenProcessPool, OSError):
-                for future in futures:
-                    future.cancel()
-                self._degrade()
-                return None
-            return results
-        finally:
-            _shm.release_segments(segments)
-
-    def shutdown(self) -> None:
-        """Join the worker pool cleanly (no leaked semaphores or
-        shared-memory segments); the backend stays usable and will
-        respawn lazily on the next offload."""
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-
-_THREAD_BACKEND = ThreadBackend()
-_PROCESS_BACKEND = ProcessBackend()
-_BACKENDS = {"thread": _THREAD_BACKEND, "process": _PROCESS_BACKEND}
-
-#: Union of the backend implementations (the informal protocol).
-Backend = Union[ThreadBackend, ProcessBackend]
-
-
-def get_backend(name: Optional[str] = None) -> Backend:
-    """The backend registered under *name* (default: the module-level
-    :data:`DEFAULT_BACKEND`, i.e. ``REPRO_EXECUTOR_BACKEND`` /
-    calibrated tuning)."""
-    name = name or DEFAULT_BACKEND
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise KernelError(
-            f"unknown executor backend {name!r}; expected one of "
-            f"{', '.join(BACKEND_NAMES)}"
-        ) from None
-
-
-def _resolve_backend(fb: "FragmentedBAT") -> Backend:
-    """Backend for an operator over *fb*: the policy's pinned backend
-    if any, else the live module default."""
-    return get_backend(fb.policy.backend)
-
-
-def shutdown_backends() -> None:
-    """Shut down both shared executors (thread and process pools).
-    Registered at exit; safe to call eagerly -- pools respawn lazily."""
-    _THREAD_BACKEND.shutdown()
-    _PROCESS_BACKEND.shutdown()
-
-
-atexit.register(shutdown_backends)
-
-
-def _forget_pools_after_fork() -> None:  # pragma: no cover - fork timing
-    """A forked child must not touch pools it shares with its parent:
-    drop the handles (without joining) so the child lazily builds its
-    own executors."""
-    global _EXECUTOR
+def _forget_pool_after_fork() -> None:
+    """A forked child must not touch the pool it shares with its parent:
+    drop the handle (without joining) so the child lazily builds its
+    own executor.  The lock is re-created too -- a parent thread may
+    have held it at fork time, and nothing in the child would ever
+    release that copy."""
+    global _EXECUTOR, _EXECUTOR_LOCK
     _EXECUTOR = None
-    _PROCESS_BACKEND._pool = None
+    _EXECUTOR_LOCK = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pools_after_fork)
+    os.register_at_fork(after_in_child=_forget_pool_after_fork)
 
 
 # ----------------------------------------------------------------------
@@ -1176,45 +895,6 @@ def _subset_op(
     return FragmentedBAT(fragments, positions, policy=fb.policy)
 
 
-def _offload_subset(
-    fb: FragmentedBAT,
-    task: str,
-    args: tuple,
-    columns: Sequence[AnyColumn],
-    *,
-    object_work: bool,
-    broadcast: Any = None,
-) -> Optional[FragmentedBAT]:
-    """Row-subset via the resolved backend's process offload.
-
-    Only object-dtype predicate work at or above
-    :data:`PROCESS_MIN_BUNS` is eligible (the per-dtype rule: numeric
-    predicates release the GIL and are faster on threads), and the
-    backend itself may still decline (thread backend, shared memory
-    unusable).  ``None`` means "not offloaded" -- the caller runs the
-    thread path.  On success the workers return each fragment's
-    qualifying local positions and the parent gathers the surviving
-    rows, exactly mirroring :func:`_subset_op`'s combine."""
-    if not object_work or len(fb) < PROCESS_MIN_BUNS:
-        return None
-    keeps = _resolve_backend(fb).run_column_tasks(
-        task, columns, args, broadcast=broadcast
-    )
-    if keeps is None:
-        return None
-    fragments: List[BAT] = []
-    positions: List[np.ndarray] = []
-    for index, (frag, keep) in enumerate(zip(fb.fragments, keeps)):
-        fragments.append(frag.take_positions(keep))
-        if fb.positions is not None:
-            positions.append(fb.positions[index][keep])
-    return FragmentedBAT(
-        fragments,
-        positions if fb.positions is not None else None,
-        policy=fb.policy,
-    )
-
-
 def _resolve_workers(fb: FragmentedBAT, workers: Optional[int]) -> Optional[int]:
     if workers is not None:
         return workers
@@ -1234,28 +914,10 @@ def select(
     include_high: bool = True,
     workers: Optional[int] = None,
 ) -> FragmentedBAT:
-    """Fragment-parallel :func:`repro.monet.kernel.select`.  Object
-    (str) predicates offload to the process backend when selected --
-    the Python-level scan holds the GIL, so threads cannot help it."""
+    """Fragment-parallel :func:`repro.monet.kernel.select`."""
     workers = _resolve_workers(fb, workers)
-    object_tail = _kernel._is_object_column(fb.fragments[0].tail)
-    tails = [frag.tail for frag in fb.fragments]
     if high is _kernel._UNSET:
-        offloaded = _offload_subset(
-            fb, "equal_positions", (low,), tails, object_work=object_tail
-        )
-        if offloaded is not None:
-            return offloaded
         return _subset_op(fb, lambda frag: _kernel.equal_mask(frag, low), workers)
-    offloaded = _offload_subset(
-        fb,
-        "range_positions",
-        (low, high, include_low, include_high),
-        tails,
-        object_work=object_tail,
-    )
-    if offloaded is not None:
-        return offloaded
     return _subset_op(
         fb,
         lambda frag: _kernel.range_mask(frag, low, high, include_low, include_high),
@@ -1287,20 +949,8 @@ def uselect(
 def likeselect(
     fb: FragmentedBAT, pattern: str, *, workers: Optional[int] = None
 ) -> FragmentedBAT:
-    """Fragment-parallel :func:`repro.monet.kernel.likeselect`.  The
-    canonical process-backend beneficiary: the substring scan is pure
-    GIL-bound Python, so worker processes give the speedup fragments
-    promise and threads cannot deliver."""
+    """Fragment-parallel :func:`repro.monet.kernel.likeselect`."""
     workers = _resolve_workers(fb, workers)
-    offloaded = _offload_subset(
-        fb,
-        "like_positions",
-        (pattern,),
-        [frag.tail for frag in fb.fragments],
-        object_work=fb.ttype == "str",
-    )
-    if offloaded is not None:
-        return offloaded
     return _subset_op(fb, lambda frag: _kernel.like_mask(frag, pattern), workers)
 
 
@@ -1439,8 +1089,7 @@ def _fetchjoin_fragmented(
 # (kernel.join_partition_ids; NIL BUNs drop first, comparison rule):
 # per-fragment key extraction fans out like the membership builds, so a
 # fragmented right operand never coalesces; per-partition match indexes
-# build in parallel (the object-dtype radix split offloads to the
-# process backend); every probe fragment probes partition-locally; and
+# build in parallel; every probe fragment probes partition-locally; and
 # a build side past JOIN_SPILL_BUNS spills its partitions through the
 # BBP scratch directory as npz units and is processed one partition at
 # a time, capping the resident build state.  A key lives in exactly one
@@ -1482,34 +1131,6 @@ def _build_side(
             right.global_positions(index) for index in range(right.nfragments)
         ]
     return [right], [np.arange(len(right), dtype=np.int64)]
-
-
-def _join_partition_lists(
-    source: Union[BAT, FragmentedBAT],
-    columns: List[AnyColumn],
-    keyspace: str,
-    fanout: int,
-    workers: Optional[int],
-) -> List[List[np.ndarray]]:
-    """Per-fragment radix splits (NIL-free local positions grouped by
-    partition), offloaded to the process backend for the GIL-bound
-    object-dtype hashing loops."""
-    if keyspace == "object" and sum(len(c) for c in columns) >= PROCESS_MIN_BUNS:
-        backend = (
-            _resolve_backend(source)
-            if isinstance(source, FragmentedBAT)
-            else get_backend()
-        )
-        parts = backend.run_column_tasks(
-            "join_partition_positions", columns, (keyspace, fanout)
-        )
-        if parts is not None:
-            return parts
-    return map_fragments(
-        lambda column: _kernel.task_join_partition_positions(column, keyspace, fanout),
-        columns,
-        workers,
-    )
 
 
 def _assemble_join_partition(
@@ -1587,8 +1208,10 @@ def _grace_matches(
             _kernel.join_keys(frag.head, keyspace)[0] for frag in build_frags
         ]
         build_tails = [frag.tail_values() for frag in build_frags]
-        build_parts = _join_partition_lists(
-            right, [frag.head for frag in build_frags], keyspace, fanout, workers
+        build_parts = map_fragments(
+            lambda frag: _kernel.join_partition_positions(frag.head, keyspace, fanout),
+            build_frags,
+            workers,
         )
 
         def one_partition(partition: int):
@@ -1803,23 +1426,8 @@ def _member_build(
 ):
     """Identity-key membership set over *source*'s heads
     (:func:`kernel.build_member_set`), built once and shared by every
-    probe fragment; the per-fragment key extraction fans out -- on
-    worker processes for object keyspaces under the process backend
-    (the per-value ``nil_dedup_key`` loop is GIL-bound), on threads
-    otherwise."""
+    probe fragment; the per-fragment key extraction fans out."""
     columns = _head_columns(source)
-    if keyspace == "object" and sum(len(c) for c in columns) >= PROCESS_MIN_BUNS:
-        backend = (
-            _resolve_backend(source)
-            if isinstance(source, FragmentedBAT)
-            else get_backend()
-        )
-        key_sets = backend.run_column_tasks("member_key_set", columns, (keyspace,))
-        if key_sets is not None:
-            members: set = set()
-            for keys in key_sets:
-                members.update(keys)
-            return members
     per_fragment = map_fragments(
         lambda column: _kernel.member_keys(column, keyspace),
         columns,
@@ -1842,20 +1450,7 @@ def _member_subset(
     invert: bool,
     workers: Optional[int],
 ) -> FragmentedBAT:
-    """Row subset of *fb* by head membership in the shared build.  For
-    object keyspaces under the process backend, the build broadcasts
-    once as a cached blob and every probe fragment tests against it in
-    a worker process (the per-key hash probes are GIL-bound Python)."""
-    offloaded = _offload_subset(
-        fb,
-        "member_positions",
-        (keyspace, nil_member, invert),
-        [frag.head for frag in fb.fragments],
-        object_work=keyspace == "object",
-        broadcast=members,
-    )
-    if offloaded is not None:
-        return offloaded
+    """Row subset of *fb* by head membership in the shared build."""
 
     def mask_fn(frag: BAT) -> np.ndarray:
         mask = _kernel.probe_member_set(
@@ -1882,8 +1477,7 @@ def semijoin(
     Numeric keyspaces route through the grace-join radix split: the
     right side's head keys partition per fragment, each partition
     dedupes in parallel, and probe fragments test partition-locally.
-    Object keyspaces keep the broadcast-membership path, whose probe
-    loops offload to the process backend."""
+    Object keyspaces keep the broadcast-membership path."""
     workers = _resolve_workers(fb, workers)
     if isinstance(right, BAT) and right.hdense:
         return _subset_op(

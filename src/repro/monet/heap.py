@@ -8,16 +8,6 @@ string column into an (offset-tail BAT, heap) pair and back.
 The inverted index (:mod:`repro.ir.index`) uses this to intern the term
 vocabulary: term strings live in one heap, and all posting BATs carry
 compact integer term ids.
-
-The same heap idea doubles as the *wire format* for shipping str
-columns to worker processes (:mod:`repro.monet.shm`): a str column
-flattens to a length-prefixed encoded heap -- one length word per
-value (NIL marked) followed by the concatenated UTF-8 bytes.
-:func:`encode_str_heap` / :func:`decode_str_heap` are the explicit
-reference codec for that layout; the shm transport itself emits the
-same layout through the C pickler (whose ``BINUNICODE`` frames are
-length-prefixed UTF-8), which round-trips a million strings an order
-of magnitude faster than any per-string Python loop can.
 """
 
 from __future__ import annotations
@@ -87,43 +77,6 @@ def encode_column(values: Iterable[str], heap: Optional[StringHeap] = None) -> T
         (heap.intern(v) for v in values), dtype=np.int64
     )
     return BAT(VoidColumn(0, len(offsets)), Column("oid", offsets)), heap
-
-
-def encode_str_heap(values: Iterable[Optional[str]]) -> Tuple[np.ndarray, bytes]:
-    """Length-prefixed heap encoding of a str (object) column.
-
-    Returns ``(lengths, data)``: one int64 byte length per value, in
-    order, with ``-1`` marking a NIL (``None``), and the concatenated
-    UTF-8 bytes of the non-NIL values.  This is the reference codec
-    for the layout :mod:`repro.monet.shm` ships str columns in (the
-    transport writes the equivalent frames with the C pickler for
-    speed); it is also the portable export shape for anything that
-    must read str columns without Python pickling."""
-    lengths: List[int] = []
-    chunks: List[bytes] = []
-    for value in values:
-        if value is None:
-            lengths.append(-1)
-        else:
-            raw = value.encode("utf-8")
-            lengths.append(len(raw))
-            chunks.append(raw)
-    return np.asarray(lengths, dtype=np.int64), b"".join(chunks)
-
-
-def decode_str_heap(lengths: np.ndarray, data) -> np.ndarray:
-    """Inverse of :func:`encode_str_heap`: an object array of str (and
-    ``None`` for every ``-1`` length) from the flat heap pair.  *data*
-    may be any bytes-like view (e.g. a shared-memory buffer)."""
-    out = np.empty(len(lengths), dtype=object)
-    at = 0
-    for position, length in enumerate(np.asarray(lengths, dtype=np.int64).tolist()):
-        if length < 0:
-            out[position] = None
-        else:
-            out[position] = bytes(data[at: at + length]).decode("utf-8")
-            at += length
-    return out
 
 
 def decode_bat(encoded: BAT, heap: StringHeap) -> BAT:

@@ -24,16 +24,6 @@ Two layers live here:
   coalesce their fragmented arguments first, so every MIL program stays
   valid over fragmented BATs.
 
-The dispatch layer is also where the *executor backend* selection of
-:mod:`repro.monet.fragments` takes effect: the
-:class:`~repro.monet.fragments.FragmentationPolicy` threaded in from
-``MirrorDBMS``/``MoaExecutor`` (and applied to drifted intermediates
-here) carries an optional pinned backend, and every fragment-parallel
-implementation resolves it -- or the live module default
-(``REPRO_EXECUTOR_BACKEND`` / calibrated tuning) -- per call, so one
-MIL program can run its GIL-bound object-dtype predicates on the
-process pool while everything numeric stays on threads.
-
 Arity is enforced uniformly: every builtin carries a signature entry,
 and a wrong argument count raises :class:`MILRuntimeError` naming the
 expected signature and the received count (method-style misuse like

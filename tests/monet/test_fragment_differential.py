@@ -34,21 +34,9 @@ from repro.monet.groups import group
 
 N_CASES = 60
 STRATEGIES = ("range", "roundrobin")
-BACKENDS = ("thread", "process")
-
-
-@pytest.fixture(params=BACKENDS)
-def exec_backend(request, monkeypatch):
-    """Run the decorated differential test under both executor
-    backends.  The offload threshold drops to zero so even the tiny
-    differential BATs take the process path (object-dtype predicates
-    ship through shared memory; numeric work stays on threads by the
-    per-dtype rule) -- both backends must be BUN-identical."""
-    if request.param == "process" and not fr.get_backend("process").available():
-        pytest.skip("process backend unavailable on this platform")
-    monkeypatch.setattr(fr, "DEFAULT_BACKEND", request.param)
-    monkeypatch.setattr(fr, "PROCESS_MIN_BUNS", 0)
-    return request.param
+#: Seed ids of the suites that once also ran a second executor backend
+#: keep their ``thread-`` prefix, so recorded test ids stay comparable.
+THREAD_SEED_IDS = [f"thread-{seed}" for seed in range(N_CASES)]
 
 
 # ----------------------------------------------------------------------
@@ -257,8 +245,8 @@ def _check_op(monolithic: BAT, reference, fragmented_results) -> None:
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("seed", range(N_CASES))
-def test_select_family_differential(seed, exec_backend):
+@pytest.mark.parametrize("seed", range(N_CASES), ids=THREAD_SEED_IDS)
+def test_select_family_differential(seed):
     rng = np.random.default_rng(seed)
     ttype = ("int", "dbl", "oid", "str")[seed % 4]
     bat = _random_bat(rng, ttype)
@@ -929,15 +917,13 @@ def _ref_kdiff_comparison(pairs, right_pairs):
     return [(h, t) for h, t in pairs if _comparison_nil(h) or h not in members]
 
 
-@pytest.mark.parametrize("seed", range(N_CASES))
-def test_set_operators_differential(seed, exec_backend):
+@pytest.mark.parametrize("seed", range(N_CASES), ids=THREAD_SEED_IDS)
+def test_set_operators_differential(seed):
     """kunion/kintersect (identity rule) and semijoin/kdiff (comparison
     rule) over NIL-heavy heads: monolithic vs identity/comparison
     references vs fragmented execution -- fragmented left against
     monolithic, same-strategy fragmented, and cross-strategy fragmented
-    right operands.  Parametrized over the executor backends: the str
-    head seeds drive the membership builds and probes through the
-    process pool."""
+    right operands."""
     rng = np.random.default_rng(1500 + seed)
     htype = ("int", "dbl", "str", "oid")[seed % 4]
     n_left = int(rng.choice([0, 1, 2, 17, 64, 120]))
@@ -1149,13 +1135,12 @@ def _join_case(rng, flavor: str, n: int, m: int):
     return left, right
 
 
-@pytest.mark.parametrize("seed", range(N_CASES))
-def test_join_fragmented_right_differential(seed, exec_backend):
+@pytest.mark.parametrize("seed", range(N_CASES), ids=THREAD_SEED_IDS)
+def test_join_fragmented_right_differential(seed):
     """The grace hash join with fragmented *right* operands: range x
-    round-robin splits of both sides, under both executor backends
-    (the fixture), over NIL-heavy bases -- BUN-identical to the
-    monolithic kernel for join and outerjoin alike, with no coalesce
-    of either operand."""
+    round-robin splits of both sides, over NIL-heavy bases --
+    BUN-identical to the monolithic kernel for join and outerjoin
+    alike, with no coalesce of either operand."""
     rng = np.random.default_rng(1300 + seed)
     n = int(rng.choice([0, 1, 30, 90]))
     m = int(rng.integers(0, 25))

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
@@ -97,6 +101,31 @@ def test_explicit_worker_counts_agree():
     serial = fr.select(fb, 7, workers=1).to_bat().to_pairs()
     parallel = fr.select(fb, 7, workers=4).to_bat().to_pairs()
     assert serial == parallel
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_fans_out_while_parent_holds_executor_lock():
+    """A fork taken while another parent thread holds the executor lock
+    must not wedge the child: its first fan-out builds a fresh pool
+    instead of waiting forever on a lock copy nobody will release."""
+    with fr._EXECUTOR_LOCK:
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - runs in the child
+            code = 1
+            try:
+                code = int(fr.map_fragments(lambda x: 2 * x, [1, 2, 3]) != [2, 4, 6])
+            finally:
+                os._exit(code)
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            assert os.waitstatus_to_exitcode(status) == 0
+            return
+        time.sleep(0.02)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    pytest.fail("forked child hung in map_fragments")
 
 
 # ----------------------------------------------------------------------

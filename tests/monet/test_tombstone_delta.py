@@ -12,7 +12,7 @@ compaction and round-robin skew repair), ``BATBufferPool.delete``/
 (one fsync per batch of concurrent mutators), and the acceptance
 tripwire: a spill-free 1M-BUN pipeline over a BAT carrying live
 tombstone *and* patch deltas never coalesces mid-plan and matches the
-monolithic reference BUN for BUN on both executor backends.
+monolithic reference BUN for BUN.
 """
 
 from __future__ import annotations
@@ -41,13 +41,6 @@ from repro.monet.fragments import (
 from repro.monet.mil import MILInterpreter, run_program
 
 STRATEGIES = ("range", "roundrobin")
-
-
-def _backends():
-    backends = ["thread"]
-    if fr.get_backend("process").available():
-        backends.append("process")
-    return backends
 
 
 # ----------------------------------------------------------------------
@@ -403,16 +396,13 @@ sum(j);
 """
 
 
-@pytest.mark.parametrize("backend", _backends())
-def test_live_delta_pipeline_never_coalesces_1m(backend, monkeypatch):
+def test_live_delta_pipeline_never_coalesces_1m(monkeypatch):
     """The PR acceptance property: a spill-free 1M-BUN pipeline
     (select -> join -> aggregate) over a fragmented BAT carrying *live*
     tombstone and patch deltas -- deleted and updated through the pool,
     never rebalanced -- runs without a single coalesce (class-level
     ``FragmentedBAT.to_bat`` and ``fragments.coalesce`` are both
     tripwired) and matches the monolithic reference BUN for BUN."""
-    if backend == "process":
-        monkeypatch.setattr(fr, "PROCESS_MIN_BUNS", 0)
     n = 1_000_000
     rng = np.random.default_rng(77)
     tails = rng.integers(0, 1000, n)
@@ -420,9 +410,7 @@ def test_live_delta_pipeline_never_coalesces_1m(backend, monkeypatch):
     dim = bat_from_pairs(
         "oid", "dbl", [(i, float(i) * 0.5) for i in rng.permutation(1000)]
     )
-    policy = FragmentationPolicy(
-        target_size=128 * 1024, strategy="range", workers=2, backend=backend
-    )
+    policy = FragmentationPolicy(target_size=128 * 1024, strategy="range", workers=2)
     deleted = np.unique(rng.choice(n, 5_000, replace=False))
     patched = np.unique(rng.choice(n - len(deleted), 5_000, replace=False))
     patch_values = rng.integers(0, 1000, len(patched)).tolist()
@@ -448,8 +436,6 @@ def test_live_delta_pipeline_never_coalesces_1m(backend, monkeypatch):
     interpreter = MILInterpreter(frag_pool, fragment_policy=policy)
     result = interpreter.run(PIPELINE)
     monkeypatch.undo()
-    if backend == "process":
-        monkeypatch.setattr(fr, "PROCESS_MIN_BUNS", 0)
     assert isinstance(result.env["s"], FragmentedBAT)
     assert isinstance(result.env["j"], FragmentedBAT)
     # Spill-free: the partitioned join build left no spill unit behind.

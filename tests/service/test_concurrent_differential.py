@@ -12,8 +12,7 @@ each other.
 The pipeline corpus and comparison helpers are reused from
 ``tests/monet/test_mil_fuzz.py`` (loaded by path; the test tree is not
 a package), so this suite inherits the fuzzer's nasty inputs: NIL-heavy
-columns, all-equal keys, empty BATs, fragmented joins.  Both executor
-backends run: threads always, the process pool when available.
+columns, all-equal keys, empty BATs, fragmented joins.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import threading
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from repro.core.mirror import MirrorDBMS
 from repro.monet.bat import BAT
@@ -41,15 +39,6 @@ _spec.loader.exec_module(fuzz)
 
 N_SESSIONS = 8
 ROUNDS = 2
-
-
-def _backends():
-    from repro.monet import fragments as fr
-
-    backends = ["thread"]
-    if fr.get_backend("process").available():
-        backends.append("process")
-    return backends
 
 
 def _corpus(base_seed: int):
@@ -90,15 +79,8 @@ def _assert_env_equal(got_env, expected_env, context: str):
             )
 
 
-@pytest.mark.parametrize("backend", _backends())
-def test_concurrent_sessions_match_serial(backend, monkeypatch):
-    from repro.monet import fragments as fr
-
-    if backend == "process":
-        monkeypatch.setattr(fr, "PROCESS_MIN_BUNS", 0)
-    policy = FragmentationPolicy(
-        target_size=16, strategy="range", workers=2, backend=backend
-    )
+def test_concurrent_sessions_match_serial():
+    policy = FragmentationPolicy(target_size=16, strategy="range", workers=2)
     data, scripts = _corpus(77_000)
     expected = _serial_results(data, scripts)
 
@@ -131,7 +113,7 @@ def test_concurrent_sessions_match_serial(backend, monkeypatch):
         assert not errors, errors[:3]
 
         for i, (got, exp) in enumerate(zip(outputs, expected)):
-            context = f"[{backend}] round {round_no} session {i}\n{scripts[i]}"
+            context = f"round {round_no} session {i}\n{scripts[i]}"
             _assert_env_equal(got.env, exp.env, context)
             assert got.printed == exp.printed, context
             if isinstance(exp.value, BAT):
@@ -157,17 +139,10 @@ def test_concurrent_sessions_match_serial(backend, monkeypatch):
         assert len(db.pool.lookup(name)) == len(bat)
 
 
-@pytest.mark.parametrize("backend", _backends())
-def test_concurrent_identical_script_single_bat(backend, monkeypatch):
+def test_concurrent_identical_script_single_bat():
     """All sessions race the *same* script -- maximum contention on the
     shared coalesced-view cache and on one base BAT."""
-    from repro.monet import fragments as fr
-
-    if backend == "process":
-        monkeypatch.setattr(fr, "PROCESS_MIN_BUNS", 0)
-    policy = FragmentationPolicy(
-        target_size=16, strategy="roundrobin", workers=2, backend=backend
-    )
+    policy = FragmentationPolicy(target_size=16, strategy="roundrobin", workers=2)
     rng = np.random.default_rng(88_001)
     data = fuzz._make_data(rng)
     script = fuzz._gen_pipeline(np.random.default_rng(88_002))
@@ -200,5 +175,5 @@ def test_concurrent_identical_script_single_bat(backend, monkeypatch):
     assert not errors, errors[:3]
     for i, got in enumerate(outputs):
         _assert_env_equal(
-            got.env, expected.env, f"[{backend}] racer {i}\n{script}"
+            got.env, expected.env, f"racer {i}\n{script}"
         )

@@ -14,7 +14,7 @@ That is the whole isolation contract in one test: a plan sees a
 prefix-closed set of committed appends (no torn batch, no future
 write), no matter how the scheduler interleaves it with the writer.
 
-Runs on both executor backends, over fragmented shared registrations.
+Runs over fragmented shared registrations.
 The pipeline corpus and comparison helpers are reused from
 ``tests/monet/test_mil_fuzz.py`` (loaded by path, like the concurrent
 differential suite).
@@ -29,7 +29,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from repro.core.mirror import MirrorDBMS
 from repro.monet.bat import BAT
@@ -46,15 +45,6 @@ _spec.loader.exec_module(fuzz)
 
 N_SESSIONS = 8
 N_MUTATIONS = 40
-
-
-def _backends():
-    from repro.monet import fragments as fr
-
-    backends = ["thread"]
-    if fr.get_backend("process").available():
-        backends.append("process")
-    return backends
 
 
 def _make_mutations(rng, names):
@@ -139,18 +129,12 @@ def _assert_env_equal(got_env, expected_env, context: str):
             )
 
 
-def _run_differential(backend, monkeypatch, mutations, seed):
+def _run_differential(mutations, seed):
     """The shared harness: N sessions race one writer applying
     *mutations* in order; every session's result must equal the serial
     replay of exactly the batches committed at or before its pinned
     epoch."""
-    from repro.monet import fragments as fr
-
-    if backend == "process":
-        monkeypatch.setattr(fr, "PROCESS_MIN_BUNS", 0)
-    policy = FragmentationPolicy(
-        target_size=16, strategy="range", workers=2, backend=backend
-    )
+    policy = FragmentationPolicy(target_size=16, strategy="range", workers=2)
     rng = np.random.default_rng(seed)
     data = fuzz._make_data(rng)
     names = [n for n in fuzz._BASE_TYPES if n != "dim"]
@@ -212,7 +196,7 @@ def _run_differential(backend, monkeypatch, mutations, seed):
         replay = _replay_pool(data, committed)
         expected = run_program(scripts[i], replay)
         context = (
-            f"[{backend}] session {i} pinned epoch {pinned} "
+            f"session {i} pinned epoch {pinned} "
             f"({len(committed)}/{N_MUTATIONS} batches)\n{scripts[i]}"
         )
         _assert_env_equal(got.env, expected.env, context)
@@ -237,15 +221,13 @@ def _run_differential(backend, monkeypatch, mutations, seed):
         )
 
 
-@pytest.mark.parametrize("backend", _backends())
-def test_concurrent_appends_match_epoch_replay(backend, monkeypatch):
+def test_concurrent_appends_match_epoch_replay():
     names = [n for n in fuzz._BASE_TYPES if n != "dim"]
     mutations = _make_mutations(np.random.default_rng(91_001), names)
-    _run_differential(backend, monkeypatch, mutations, 91_000)
+    _run_differential(mutations, 91_000)
 
 
-@pytest.mark.parametrize("backend", _backends())
-def test_concurrent_mixed_mutations_match_epoch_replay(backend, monkeypatch):
+def test_concurrent_mixed_mutations_match_epoch_replay():
     """The delete/update arm of the 8-session race: tombstone and patch
     batches interleave with appends under the write lock, and every
     pinned plan still reads a prefix-closed committed state."""
@@ -257,4 +239,4 @@ def test_concurrent_mixed_mutations_match_epoch_replay(backend, monkeypatch):
     )
     kinds = {op for op, _, _ in mutations}
     assert kinds == {"append", "delete", "update"}
-    _run_differential(backend, monkeypatch, mutations, 92_000)
+    _run_differential(mutations, 92_000)
